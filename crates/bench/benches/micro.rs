@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks of the simulator's hot components: branch
-//! prediction, cache access, bus reservation, steering, functional
-//! emulation, and whole-core simulation throughput.
+//! prediction, cache access, bus reservation, steering, the load/store
+//! queue, functional emulation, and whole-core simulation throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rcmc_core::bus::BusFabric;
 use rcmc_core::config::DistanceLut;
+use rcmc_core::lsq::{Lsq, LsqId, StartedLoad};
 use rcmc_core::steering::{self, SteerCtx};
 use rcmc_core::value::ValueTable;
 use rcmc_core::{Core, CoreConfig, Steering, Topology};
@@ -13,6 +14,7 @@ use rcmc_uarch::{
     Bimodal, CacheConfig, Gshare, HybridPredictor, MemConfig, PredictorConfig, SetAssocCache,
 };
 use rcmc_workloads::benchmark;
+use std::collections::VecDeque;
 
 fn bench_bpred(c: &mut Criterion) {
     let mut g = c.benchmark_group("bpred");
@@ -128,6 +130,99 @@ fn bench_steering(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 128-entry LSQ kept full the way the core drives it: one store per
+/// three entries, stores issuing out of order 1–6 cycles after dispatch
+/// and committing oldest first, loads computing their address at dispatch
+/// from a 64-line pool (so some forward), and started loads completing at
+/// once to make room.
+struct LsqDriver {
+    lsq: Lsq,
+    /// Live stores, oldest first, with the cycle each one issues.
+    stores: VecDeque<(LsqId, u64)>,
+    started: Vec<StartedLoad>,
+    now: u64,
+    seq: u64,
+    rng: u64,
+}
+
+impl LsqDriver {
+    fn new() -> Self {
+        let mut d = LsqDriver {
+            lsq: Lsq::new(128, 1),
+            stores: VecDeque::new(),
+            started: Vec::new(),
+            now: 0,
+            seq: 0,
+            rng: 0x9e37_79b9_7f4a_7c15,
+        };
+        d.refill();
+        d
+    }
+
+    fn next(&mut self) -> u64 {
+        // xorshift64: deterministic and allocation-free.
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
+    }
+
+    fn refill(&mut self) {
+        while self.lsq.has_space() {
+            self.seq += 1;
+            let addr = 0x1000 + 8 * (self.next() % 64);
+            let is_store = self.seq.is_multiple_of(3);
+            let id = self.lsq.alloc(is_store, self.seq as u32, self.seq);
+            if is_store {
+                let issue = self.now + 1 + self.next() % 6;
+                self.stores.push_back((id, issue));
+            } else {
+                self.lsq.load_addr_known(id, addr, self.now);
+            }
+        }
+    }
+
+    /// One core cycle: the fast-forward probe, the memory stage, then
+    /// completions, store issue and commit, and dispatch.
+    fn cycle(&mut self) {
+        criterion::black_box(self.lsq.would_start_any(self.now, 2));
+        self.started.clear();
+        self.lsq.start_loads_into(self.now, 2, &mut self.started);
+        for s in &self.started {
+            self.lsq.release(s.id);
+        }
+        for k in 0..self.stores.len() {
+            let (id, issue) = self.stores[k];
+            if issue == self.now {
+                let addr = 0x1000 + 8 * (self.next() % 64);
+                self.lsq.store_ready(id, addr);
+            }
+        }
+        if let Some(&(id, issue)) = self.stores.front() {
+            if issue < self.now {
+                self.lsq.release(id);
+                self.stores.pop_front();
+            }
+        }
+        self.now += 1;
+        self.refill();
+    }
+}
+
+fn bench_lsq(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lsq");
+    g.throughput(Throughput::Elements(1024));
+    g.bench_function("full_128_mixed_1k_cycles", |b| {
+        let mut d = LsqDriver::new();
+        b.iter(|| {
+            for _ in 0..1024 {
+                d.cycle();
+            }
+        })
+    });
+    g.finish();
+}
+
 fn bench_emulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("emulator");
     let program = benchmark("swim").unwrap().build();
@@ -178,6 +273,7 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_bpred, bench_cache, bench_bus, bench_steering, bench_emulator, bench_core
+    targets = bench_bpred, bench_cache, bench_bus, bench_steering, bench_lsq, bench_emulator,
+        bench_core
 );
 criterion_main!(micro);

@@ -36,7 +36,7 @@ use serde::json::Value;
 use crate::config::SimConfig;
 use crate::plan::Plan;
 use crate::resultset::ResultSet;
-use crate::runner::{self, JobKey, ResultStore, RunResult, SweepProgress};
+use crate::runner::{self, Budget, JobKey, ResultStore, RunResult, SweepProgress};
 use crate::serve::{event, obj, result_event};
 
 /// Sink for serve events. Returns `false` when the client is gone (write
@@ -147,6 +147,18 @@ struct SchedState {
     /// No more submissions; workers drain the queue and exit.
     closed: bool,
     stats: SchedulerStats,
+}
+
+/// What the lock-free memo pass of [`Scheduler::submit`] found.
+struct MemoPass {
+    /// `stats.executed` when the pass began. If it has moved by
+    /// registration, a job may have persisted its row and left `jobs` in
+    /// between, unseen by both the pass and the registry.
+    executed: u64,
+    /// Rows already in the store.
+    rows: Vec<RunResult>,
+    /// Pairs the store missed.
+    pending: Vec<(JobKey, SimConfig)>,
 }
 
 /// Outcome of [`Scheduler::submit`].
@@ -264,21 +276,85 @@ impl Scheduler {
         emit: EmitFn<'_>,
     ) -> Submission {
         let budget = plan.budget.unwrap_or_default();
-        // Memo pass first, without the scheduler lock: store reads touch
-        // the disk and must not serialize the whole service.
-        let mut rows: Vec<RunResult> = Vec::new();
-        let mut pending: Vec<(JobKey, SimConfig)> = Vec::new();
-        for cfg in &cfgs {
-            for bench in &benches {
-                let key = JobKey::of(cfg, bench, &budget);
-                match store.load(&key.config, bench, &budget) {
-                    Some(hit) => rows.push(hit),
-                    None => pending.push((key, cfg.clone())),
+        let memo = self.memo_pass(&cfgs, &benches, &budget, store);
+        self.register(id, plan, cfgs, memo, store, emit)
+    }
+
+    /// The store probes of [`Scheduler::submit`], taken without the
+    /// scheduler lock: store reads touch the disk and must not serialize
+    /// the whole service.
+    fn memo_pass(
+        &self,
+        cfgs: &[SimConfig],
+        benches: &[String],
+        budget: &Budget,
+        store: &ResultStore,
+    ) -> MemoPass {
+        let mut memo = MemoPass {
+            executed: lock(&self.state).stats.executed,
+            rows: Vec::new(),
+            pending: Vec::new(),
+        };
+        for cfg in cfgs {
+            for bench in benches {
+                let key = JobKey::of(cfg, bench, budget);
+                match store.load(&key.config, bench, budget) {
+                    Some(hit) => memo.rows.push(hit),
+                    None => memo.pending.push((key, cfg.clone())),
                 }
             }
         }
+        memo
+    }
+
+    /// The registration half of [`Scheduler::submit`], under the scheduler
+    /// lock: admission, coalescing onto live jobs, and enqueueing the rest.
+    fn register(
+        &self,
+        id: Value,
+        plan: Plan,
+        cfgs: Vec<SimConfig>,
+        memo: MemoPass,
+        store: &ResultStore,
+        emit: EmitFn<'_>,
+    ) -> Submission {
+        let MemoPass {
+            executed,
+            mut rows,
+            mut pending,
+        } = memo;
+        let mut coalesced = 0usize;
+        let mut st = lock(&self.state);
+        if st.stats.executed != executed {
+            // A job finished since the memo pass. Workers persist a row
+            // before its job leaves `jobs`, so an unregistered key the pass
+            // missed may be in the store now: re-probe those keys instead
+            // of simulating them a second time.
+            pending.retain(|(key, _)| {
+                st.jobs.contains_key(key)
+                    || match store.load(&key.config, &key.bench, &key.budget) {
+                        Some(hit) => {
+                            rows.push(hit);
+                            false
+                        }
+                        None => true,
+                    }
+            });
+        }
         let memoized = rows.len();
         let total = pending.len();
+        let fresh = pending
+            .iter()
+            .filter(|(key, _)| !st.jobs.contains_key(key))
+            .count();
+        if st.queued + fresh > self.queue_limit {
+            st.stats.rejected += 1;
+            return Submission::Busy {
+                jobs: total,
+                queued: st.queued,
+                limit: self.queue_limit,
+            };
+        }
         let order: Vec<String> = cfgs.into_iter().map(|c| c.name).collect();
         let label = request_label(&plan.name, &id);
         let req = Arc::new(Request {
@@ -294,53 +370,38 @@ impl Scheduler {
                 ..ReqState::default()
             }),
         });
-        let mut coalesced = 0usize;
-        {
-            let mut st = lock(&self.state);
-            let fresh = pending
-                .iter()
-                .filter(|(key, _)| !st.jobs.contains_key(key))
-                .count();
-            if st.queued + fresh > self.queue_limit {
-                st.stats.rejected += 1;
-                return Submission::Busy {
-                    jobs: total,
-                    queued: st.queued,
-                    limit: self.queue_limit,
-                };
-            }
-            st.stats.submitted += (total + memoized) as u64;
-            st.stats.memoized += memoized as u64;
-            for (key, cfg) in pending {
-                match st.jobs.get_mut(&key) {
-                    // Identical job already queued or running: subscribe.
-                    Some(job) => {
-                        job.subscribers.push(req.clone());
-                        coalesced += 1;
-                    }
-                    None => {
-                        st.jobs.insert(
-                            key.clone(),
-                            Job {
-                                cfg,
-                                running: false,
-                                subscribers: vec![req.clone()],
-                            },
-                        );
-                        st.queue.push_back(key);
-                        st.queued += 1;
-                    }
+        st.stats.submitted += (total + memoized) as u64;
+        st.stats.memoized += memoized as u64;
+        for (key, cfg) in pending {
+            match st.jobs.get_mut(&key) {
+                // Identical job already queued or running: subscribe.
+                Some(job) => {
+                    job.subscribers.push(req.clone());
+                    coalesced += 1;
+                }
+                None => {
+                    st.jobs.insert(
+                        key.clone(),
+                        Job {
+                            cfg,
+                            running: false,
+                            subscribers: vec![req.clone()],
+                        },
+                    );
+                    st.queue.push_back(key);
+                    st.queued += 1;
                 }
             }
-            st.stats.coalesced += coalesced as u64;
-            // Workers can deliver as soon as the lock drops, but `total`
-            // was fixed at construction, so no delivery can finalize
-            // before every pair is registered.
-            lock(&req.state).coalesced = coalesced;
-            if total > 0 {
-                st.requests.push(req.clone());
-            }
         }
+        st.stats.coalesced += coalesced as u64;
+        // Workers can deliver as soon as the lock drops, but `total` was
+        // fixed at construction, so no delivery can finalize before every
+        // pair is registered.
+        lock(&req.state).coalesced = coalesced;
+        if total > 0 {
+            st.requests.push(req.clone());
+        }
+        drop(st);
         self.work.notify_all();
         if total == 0 {
             // Entirely memoized: terminal progress (total == 0), then the
@@ -362,17 +423,21 @@ impl Scheduler {
     pub fn worker(&self, store: &ResultStore, db: Option<&rcmc_emu::TraceDb>, emit: EmitFn<'_>) {
         while let Some((key, cfg)) = self.next_job() {
             let r = runner::run_pair(&cfg, &key.bench, &key.budget, store, db);
-            let job = {
-                let mut st = lock(&self.state);
-                st.stats.executed += 1;
-                // Cancellation never removes a running job, so the entry
-                // is still there (possibly with no subscribers left).
-                st.jobs.remove(&key).expect("running job stays registered")
-            };
-            for sub in &job.subscribers {
+            for sub in &self.complete(&key).subscribers {
                 self.deliver(sub, &key.bench, &r, emit);
             }
         }
+    }
+
+    /// Retire a finished job whose row `run_pair` has already persisted:
+    /// bump `executed` (the completion count a racing
+    /// [`Scheduler::submit`] re-probes on) and unregister the job.
+    fn complete(&self, key: &JobKey) -> Job {
+        let mut st = lock(&self.state);
+        st.stats.executed += 1;
+        // Cancellation never removes a running job, so the entry is still
+        // there (possibly with no subscribers left).
+        st.jobs.remove(key).expect("running job stays registered")
     }
 
     /// Cancel every live request whose id equals `target`. Returns
@@ -615,5 +680,60 @@ impl Scheduler {
             ("memoized", Value::Num(memoized as f64)),
         ]);
         emit(&result_event(&req.id, &req.plan, &req.order, &rs, stats));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn job_finishing_between_memo_pass_and_registration_is_not_rerun() {
+        let dir = std::env::temp_dir().join(format!("rcmc-sched-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::at(dir.clone());
+        let plan = Plan::from_json(
+            r#"{"name": "race", "configs": [{"topology": "ring", "clusters": 4}],
+                "benches": ["gzip"], "budget": {"warmup": 100, "measure": 500}}"#,
+        )
+        .unwrap();
+        let (cfgs, benches) = plan.resolve().unwrap();
+        let budget = plan.budget.unwrap_or_default();
+        let emit = |_: &Value| true;
+        let sched = Scheduler::new(8, false);
+        // Request a enqueues the job.
+        sched.submit(
+            Value::Num(1.0),
+            plan.clone(),
+            cfgs.clone(),
+            benches.clone(),
+            &store,
+            &emit,
+        );
+        // Request b's memo pass runs before the job does, so it misses.
+        let memo = sched.memo_pass(&cfgs, &benches, &budget, &store);
+        assert_eq!(memo.pending.len(), 1);
+        // The job runs, persists its row and leaves the registry...
+        let (key, cfg) = sched.next_job().expect("request a queued a job");
+        runner::run_pair(&cfg, &key.bench, &key.budget, &store, None);
+        sched.complete(&key);
+        // ...before b registers: b must take the row from the store.
+        let b = sched.register(Value::Num(2.0), plan, cfgs, memo, &store, &emit);
+        assert!(
+            matches!(
+                b,
+                Submission::Accepted {
+                    jobs: 0,
+                    memoized: 1,
+                    coalesced: 0
+                }
+            ),
+            "request b re-enqueued a finished job"
+        );
+        let st = lock(&sched.state);
+        assert!(st.jobs.is_empty() && st.queued == 0, "nothing left to run");
+        assert_eq!((st.stats.executed, st.stats.memoized), (1, 1));
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
