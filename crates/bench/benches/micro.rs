@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the simulator's hot components: branch
 //! prediction, cache access, bus reservation, steering, the load/store
-//! queue, functional emulation, and whole-core simulation throughput.
+//! queue, functional emulation, whole-core simulation throughput, and the
+//! JSON parser and renderer behind the result store and `rcmc serve`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rcmc_core::bus::BusFabric;
@@ -10,10 +11,13 @@ use rcmc_core::steering::{self, SteerCtx};
 use rcmc_core::value::ValueTable;
 use rcmc_core::{Core, CoreConfig, Steering, Topology};
 use rcmc_emu::trace_program;
+use rcmc_sim::RunResult;
 use rcmc_uarch::{
     Bimodal, CacheConfig, Gshare, HybridPredictor, MemConfig, PredictorConfig, SetAssocCache,
 };
 use rcmc_workloads::benchmark;
+use serde::json::{self, Value};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 fn bench_bpred(c: &mut Criterion) {
@@ -223,6 +227,92 @@ fn bench_lsq(c: &mut Criterion) {
     g.finish();
 }
 
+/// A plausible 4-cluster result row; `i` varies the numbers.
+fn sample_row(config: &str, bench: &str, i: usize) -> RunResult {
+    let x = 1.0 / (i as f64 + 3.0);
+    RunResult {
+        config: config.into(),
+        bench: bench.into(),
+        fp: i.is_multiple_of(2),
+        ipc: 0.3 + x / 7.0,
+        comms_per_insn: x / 3.0,
+        dist_per_comm: 1.0 + x,
+        wait_per_comm: x / 1.7,
+        nready: x / 11.0,
+        dispatch_shares: (0..4)
+            .map(|k| (k as f64 + 1.0 + x) / (10.0 + 4.0 * x))
+            .collect(),
+        branch_miss_rate: x / 13.0,
+        committed: 2000 + i as u64,
+        cycles: 5815 + 997 * i as u64,
+    }
+}
+
+/// The `result` event `rcmc serve` writes for a 3-config × 3-bench plan:
+/// nine rows, a rendered speedup report and the per-request stats.
+fn sample_result_line() -> String {
+    let configs = [
+        "Ring_4clus_1bus_2IW",
+        "Conv_4clus_1bus_2IW",
+        "Mesh_4clus_1bus_2IW",
+    ];
+    let benches = ["swim", "gzip", "mcf"];
+    let mut rows = Vec::new();
+    let mut text = String::from("speedup (geomean IPC ratio)\n");
+    for (i, config) in configs.iter().enumerate() {
+        for (j, bench) in benches.iter().enumerate() {
+            let row = sample_row(config, bench, 3 * i + j);
+            text += &format!(
+                "{config:<24} / Conv_4clus_1bus_2IW  {bench:<6} {:.4}\n",
+                row.ipc
+            );
+            rows.push(row.to_value());
+        }
+    }
+    let report = Value::Obj(vec![
+        ("kind".into(), Value::Str("speedup".into())),
+        ("text".into(), Value::Str(text)),
+    ]);
+    let stats = ["jobs", "executed", "coalesced", "memoized"]
+        .iter()
+        .zip([9.0, 0.0, 0.0, 9.0])
+        .map(|(k, n)| (k.to_string(), Value::Num(n)))
+        .collect();
+    Value::Obj(vec![
+        ("id".into(), Value::Str("c1-17".into())),
+        ("event".into(), Value::Str("result".into())),
+        ("plan".into(), Value::Str("serve-mixed".into())),
+        ("rows".into(), Value::Arr(rows)),
+        ("reports".into(), Value::Arr(vec![report])),
+        ("stats".into(), Value::Obj(stats)),
+    ])
+    .to_compact_string()
+}
+
+fn bench_json(c: &mut Criterion) {
+    let row = sample_row("Ring_4clus_1bus_2IW", "swim", 0)
+        .to_value()
+        .to_pretty_string();
+    let line = sample_result_line();
+    let head = "{\"id\": 1, \"op\": \"ping\", \"pad\": \"";
+    let long = format!("{head}{}\"}}", "x".repeat((1 << 20) - head.len() - 2));
+    let mut g = c.benchmark_group("json");
+    for (name, text) in [
+        ("parse_store_row", &row),
+        ("parse_result_line_9_rows", &line),
+        ("parse_1mib_string_line", &long),
+    ] {
+        g.throughput(Throughput::Bytes(text.len() as u64));
+        g.bench_function(name, |b| b.iter(|| json::parse(text).unwrap()));
+    }
+    let value = json::parse(&line).unwrap();
+    g.throughput(Throughput::Bytes(line.len() as u64));
+    g.bench_function("encode_result_line_9_rows", |b| {
+        b.iter(|| value.to_compact_string())
+    });
+    g.finish();
+}
+
 fn bench_emulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("emulator");
     let program = benchmark("swim").unwrap().build();
@@ -273,7 +363,7 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_bpred, bench_cache, bench_bus, bench_steering, bench_lsq, bench_emulator,
-        bench_core
+    targets = bench_bpred, bench_cache, bench_bus, bench_steering, bench_lsq, bench_json,
+        bench_emulator, bench_core
 );
 criterion_main!(micro);

@@ -143,6 +143,44 @@ fn serve_survives_garbage_bytes_and_oversized_lines() {
 }
 
 #[test]
+fn serve_rejects_deep_nesting_without_overflowing() {
+    // 400 KB of `[` nests far past the parser's depth bound: one structured
+    // error instead of a stack overflow, and the session keeps serving.
+    let mut input = vec![b'['; 400 << 10];
+    input.push(b'\n');
+    input.extend_from_slice(b"{\"id\": 2, \"op\": \"ping\"}\n");
+    let lines = serve_session_bytes(&input);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(has_field(&lines[0], "event", "error"), "{}", lines[0]);
+    assert!(lines[0].contains("not valid JSON"), "{}", lines[0]);
+    assert!(has_field(&lines[1], "event", "pong"), "{}", lines[1]);
+    assert!(has_field(&lines[1], "id", "2"), "{}", lines[1]);
+}
+
+#[test]
+fn serve_answers_a_one_megabyte_string_line_promptly() {
+    // A ping padded with one string to exactly the 1 MiB line cap, then a
+    // plain ping: both are answered, and parsing the long line takes time
+    // linear in its length.
+    let head = "{\"id\": 1, \"op\": \"ping\", \"pad\": \"";
+    let tail = "\"}";
+    let pad = "x".repeat((1 << 20) - head.len() - tail.len());
+    let input = format!("{head}{pad}{tail}\n{{\"id\": 2, \"op\": \"ping\"}}\n");
+    let start = std::time::Instant::now();
+    let lines = serve_session_bytes(input.as_bytes());
+    let wall = start.elapsed();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(has_field(&lines[0], "event", "pong"), "{}", lines[0]);
+    assert!(has_field(&lines[0], "id", "1"), "{}", lines[0]);
+    assert!(has_field(&lines[1], "event", "pong"), "{}", lines[1]);
+    assert!(has_field(&lines[1], "id", "2"), "{}", lines[1]);
+    assert!(
+        wall < std::time::Duration::from_secs(2),
+        "a 1 MiB line took {wall:?}"
+    );
+}
+
+#[test]
 fn cancel_drops_queued_jobs_without_touching_others() {
     // A fresh store and one worker: request "keep" occupies the worker
     // while "drop"'s four jobs sit queued; the cancel must drop all four
