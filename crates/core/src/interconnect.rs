@@ -46,29 +46,14 @@ pub struct Grant {
 /// per cycle; `tick` is called exactly once per simulated cycle after all
 /// `try_send` attempts. A `None` answer must leave no arbitration residue
 /// (the caller will retry the identical request next cycle).
-/// The event-driven run loop adds two *optional* operations: when every
-/// pending communication is being denied, the loop asks each one's fabric
-/// [`earliest_retry`](Interconnect::earliest_retry) how many cycles until a
-/// retry could succeed, skips straight there, and replays the elapsed ticks
-/// with [`advance`](Interconnect::advance). The defaults (retry immediately;
-/// advance = repeated ticks) are always correct — a fabric that never
-/// overrides them simply disables idle-skipping while it has traffic queued.
+/// The event-driven run loop skips only while no communication is waiting,
+/// and replays the skipped ticks with [`advance`](Interconnect::advance).
 pub trait Interconnect: Send {
     /// Advance the arbitration state one cycle.
     fn tick(&mut self);
 
     /// Try to start a communication from `from` to `to` this cycle.
     fn try_send(&mut self, from: usize, to: usize) -> Option<Grant>;
-
-    /// Cycles until a `try_send(from, to)` could first succeed, assuming no
-    /// grants happen in between (the caller guarantees a dead region).
-    /// `0` means the very next attempt may succeed. Implementations may
-    /// under- but must never over-estimate: skipping past the first
-    /// grantable cycle would lose a grant a cycle-stepped run performs.
-    fn earliest_retry(&self, from: usize, to: usize) -> u64 {
-        let _ = (from, to);
-        0
-    }
 
     /// Replay `cycles` consecutive ticks with no intervening `try_send`
     /// traffic. Must be observationally identical to calling [`tick`]
@@ -140,9 +125,6 @@ impl Interconnect for Crossbar {
             None
         }
     }
-
-    // `earliest_retry` keeps the default 0, which is exact here: ports reset
-    // every tick, so the first attempt of any cycle always succeeds.
 
     fn advance(&mut self, _cycles: u64) {
         self.tick(); // one reset == any number of trafficless ticks
@@ -271,28 +253,6 @@ impl Interconnect for Mesh2D {
         })
     }
 
-    /// Exact: with no grants in between, the occupancy windows only shift
-    /// by one slot per tick, so checking the XY path at offset `d + j·L`
-    /// answers whether a send would succeed `d` cycles from now.
-    fn earliest_retry(&self, from: usize, to: usize) -> u64 {
-        for d in 0..MESH_WINDOW as u64 {
-            let mut free = true;
-            let mut hop = 0u64;
-            self.xy_route(from, to, |link| {
-                let off = d + hop * self.hop_latency as u64;
-                // Offsets beyond the window lie past every live reservation.
-                if off < MESH_WINDOW as u64 {
-                    free &= self.links[link][(self.head + off as usize) % MESH_WINDOW] < self.ports;
-                }
-                hop += 1;
-            });
-            if free {
-                return d;
-            }
-        }
-        MESH_WINDOW as u64 // whole window busy: everything expires by then
-    }
-
     fn advance(&mut self, cycles: u64) {
         let k = cycles.min(MESH_WINDOW as u64) as usize;
         for i in 0..k {
@@ -387,17 +347,41 @@ impl Interconnect for Hier {
         }
     }
 
-    // `earliest_retry` keeps the default 0 (exact: slots reset every tick).
-
     fn advance(&mut self, _cycles: u64) {
         self.tick(); // one reset == any number of trafficless ticks
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::config::Steering;
+    use crate::config::{Steering, RESERVATION_WINDOW};
+
+    /// Drive two fabrics of `n` clusters with the identical `try_send`
+    /// sequence (every ordered pair, once per cycle, for a whole
+    /// reservation window) and assert they answer alike. Grants change
+    /// both twins the same way, so a difference in their arbitration state
+    /// shows up as a differing answer.
+    pub(crate) fn assert_same_answers(
+        a: &mut dyn Interconnect,
+        b: &mut dyn Interconnect,
+        n: usize,
+        tag: &str,
+    ) {
+        for cycle in 0..RESERVATION_WINDOW {
+            for from in 0..n {
+                for to in (0..n).filter(|&to| to != from) {
+                    assert_eq!(
+                        a.try_send(from, to),
+                        b.try_send(from, to),
+                        "{tag}: diverged on ({from},{to}) at cycle {cycle}"
+                    );
+                }
+            }
+            a.tick();
+            b.tick();
+        }
+    }
 
     fn xbar(n_buses: usize, hop: u32) -> Crossbar {
         Crossbar::new(&CoreConfig {
@@ -668,63 +652,20 @@ mod tests {
         assert!(h.try_send(7, 2).is_some());
     }
 
-    /// Check `earliest_retry` against ground truth: clone-free replay by
-    /// ticking a twin fabric forward until the send first succeeds.
-    fn stepped_earliest<F: Interconnect>(fab: &mut F, from: usize, to: usize, limit: u64) -> u64 {
-        for d in 0..=limit {
-            if fab.try_send(from, to).is_some() {
-                return d;
-            }
-            fab.tick();
-        }
-        panic!("no grant within {limit} cycles");
-    }
-
-    #[test]
-    fn mesh_earliest_retry_matches_stepped_probe() {
-        // Saturate the eastward link out of cluster 0 at several offsets,
-        // then verify the O(window) scan agrees with brute-force stepping.
-        let mut m = mesh(8, 1, 2);
-        assert!(m.try_send(0, 3).is_some()); // east hops at offsets 0, 2, 4
-        assert!(m.try_send(1, 5).is_some()); // south out of 1 at offset 0
-        let cases = [(0usize, 1usize), (0, 2), (1, 5), (4, 6)];
-        for (from, to) in cases {
-            let predicted = m.earliest_retry(from, to);
-            let mut twin = mesh(8, 1, 2);
-            assert!(twin.try_send(0, 3).is_some());
-            assert!(twin.try_send(1, 5).is_some());
-            let actual = stepped_earliest(&mut twin, from, to, MESH_WINDOW as u64);
-            assert_eq!(predicted, actual, "mesh earliest_retry({from},{to})");
-        }
-    }
-
     #[test]
     fn mesh_advance_equals_repeated_ticks() {
         for k in [1u64, 3, 17, MESH_WINDOW as u64 - 1, MESH_WINDOW as u64 + 5] {
             let mut a = mesh(8, 1, 2);
             let mut b = mesh(8, 1, 2);
-            for f in [a.try_send(0, 7), b.try_send(0, 7)] {
-                assert!(f.is_some());
+            for f in [&mut a, &mut b] {
+                assert!(f.try_send(0, 7).is_some());
+                assert!(f.try_send(2, 6).is_some());
             }
-            assert!(a.try_send(2, 6).is_some());
-            assert!(b.try_send(2, 6).is_some());
             for _ in 0..k {
                 a.tick();
             }
             b.advance(k);
-            // Observationally identical: every pair answers the same.
-            for from in 0..8 {
-                for to in 0..8 {
-                    if from == to {
-                        continue;
-                    }
-                    assert_eq!(
-                        a.earliest_retry(from, to),
-                        b.earliest_retry(from, to),
-                        "advance({k}) diverged on ({from},{to})"
-                    );
-                }
-            }
+            assert_same_answers(&mut a, &mut b, 8, &format!("mesh advance({k})"));
         }
     }
 
@@ -734,13 +675,11 @@ mod tests {
         assert!(x.try_send(0, 1).is_some());
         x.advance(100);
         assert!(x.try_send(0, 2).is_some(), "ports reset by advance");
-        assert_eq!(x.earliest_retry(0, 3), 0);
 
         let mut h = hier(8, 1, 1);
         assert!(h.try_send(0, 5).is_some());
         h.advance(100);
         assert!(h.try_send(7, 2).is_some(), "global link reset by advance");
-        assert_eq!(h.earliest_retry(1, 2), 0);
     }
 
     #[test]

@@ -29,10 +29,162 @@
 //! Steering never fails: it always picks a cluster. Resource availability in
 //! the chosen cluster is checked afterwards by dispatch, which stalls when
 //! "the chosen cluster is full" (§3.1) rather than re-steering.
+//!
+//! The module also owns the policy-independent pieces: the [`Steered`]
+//! result, its inline [`CommList`], and the nearest-copy distance helpers
+//! that both the policies and the pipeline use.
 
 use crate::config::{cluster_mask, CoreConfig, DistanceLut, Steering};
-use crate::steer::{nearest_copy_distance, needed_comms, Steered};
 use crate::value::{ClusterBits, ValueId, ValueTable};
+
+/// A required communication: bring `value` from cluster `from` to the
+/// consumer's cluster.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NeededComm {
+    /// The value to move.
+    pub value: ValueId,
+    /// Source cluster (nearest existing copy).
+    pub from: u8,
+}
+
+/// The communications one instruction needs, stored inline (no heap).
+///
+/// An instruction has at most two source operands, so at most two
+/// communications; ring steering guarantees ≤ 1 (its candidate set always
+/// contains a cluster holding an operand). Keeping this inline makes
+/// [`SteeringPolicy::steer`] — called once per dispatched
+/// instruction — fully allocation-free.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CommList {
+    items: [NeededComm; 2],
+    len: u8,
+}
+
+impl CommList {
+    /// Empty list.
+    pub const fn new() -> Self {
+        CommList {
+            items: [NeededComm { value: 0, from: 0 }; 2],
+            len: 0,
+        }
+    }
+
+    /// Append (panics beyond two entries — impossible with ≤ 2 operands).
+    #[inline]
+    pub fn push(&mut self, c: NeededComm) {
+        self.items[self.len as usize] = c;
+        self.len += 1;
+    }
+
+    /// The live entries.
+    #[inline]
+    pub fn as_slice(&self) -> &[NeededComm] {
+        &self.items[..self.len as usize]
+    }
+
+    /// Number of communications.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// No communications needed?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Iterate over the live entries.
+    pub fn iter(&self) -> std::slice::Iter<'_, NeededComm> {
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for CommList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for CommList {}
+
+impl PartialEq<[NeededComm]> for CommList {
+    fn eq(&self, other: &[NeededComm]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl<'a> IntoIterator for &'a CommList {
+    type Item = &'a NeededComm;
+    type IntoIter = std::slice::Iter<'a, NeededComm>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+/// Result of steering one instruction.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Steered {
+    /// Execution cluster.
+    pub cluster: usize,
+    /// Communications to create (0..=2; ring guarantees ≤1).
+    pub comms: CommList,
+}
+
+/// Distance from the nearest copy of `v` to `to`, minimized over buses.
+pub fn nearest_copy_distance(
+    dist: &DistanceLut,
+    values: &ValueTable,
+    v: ValueId,
+    to: usize,
+) -> u32 {
+    values
+        .mapped_clusters(v)
+        .map(|p| dist.min_distance(p, to))
+        .min()
+        .expect("live value must be mapped somewhere")
+}
+
+/// The nearest source cluster for moving `v` to `to` (ties → lowest index).
+pub fn nearest_copy_cluster(
+    dist: &DistanceLut,
+    values: &ValueTable,
+    v: ValueId,
+    to: usize,
+) -> usize {
+    let mut best = usize::MAX;
+    let mut bestd = u32::MAX;
+    for p in values.mapped_clusters(v) {
+        let d = dist.min_distance(p, to);
+        if d < bestd {
+            bestd = d;
+            best = p;
+        }
+    }
+    debug_assert!(best != usize::MAX);
+    best
+}
+
+/// Communications needed to execute an instruction with `srcs` in `cluster`
+/// (one per operand without a local copy, deduplicated).
+pub fn needed_comms(
+    dist: &DistanceLut,
+    values: &ValueTable,
+    srcs: &[ValueId],
+    cluster: usize,
+) -> CommList {
+    let mut comms = CommList::new();
+    for &v in srcs {
+        if !values.mapped(v, cluster) && !comms.iter().any(|c| c.value == v) {
+            let from = nearest_copy_cluster(dist, values, v, cluster);
+            comms.push(NeededComm {
+                value: v,
+                from: from as u8,
+            });
+        }
+    }
+    comms
+}
 
 /// Everything a policy may consult when placing one instruction: the
 /// configuration (cluster count, thresholds), the precomputed distance
@@ -89,16 +241,12 @@ pub trait SteeringPolicy: Send {
     /// after how many `steer` calls does the sequence of placements repeat
     /// (and the policy's internal retry state return to its start)?
     ///
-    /// Return 1 for policies whose `steer` is pure under frozen context,
-    /// `n_clusters` for a rotating tie-break that advances once per call, or
-    /// 0 for "unknown" — always safe, it just disables skipping over
-    /// dispatch-stalled cycles. `n_srcs` is the stalled instruction's live
-    /// source-operand count (rotation often only applies to the 0-source
-    /// case).
-    fn retry_period(&self, n_srcs: usize, n_clusters: usize) -> usize {
-        let _ = (n_srcs, n_clusters);
-        0
-    }
+    /// Return 1 for policies whose `steer` is pure under frozen context, or
+    /// `n_clusters` for a rotating tie-break that advances once per call
+    /// (the period must lie in `1..=MAX_CLUSTERS`). `n_srcs` is the stalled
+    /// instruction's live source-operand count (rotation often only applies
+    /// to the 0-source case).
+    fn retry_period(&self, n_srcs: usize, n_clusters: usize) -> usize;
 
     /// Replay `k` same-state `steer` calls in O(1): advance rotating retry
     /// state exactly as `k` consecutive (stalled) steers would have. Only
@@ -418,7 +566,6 @@ impl Default for Ssa {
 mod tests {
     use super::*;
     use crate::config::Topology;
-    use crate::steer::NeededComm;
 
     fn ring4() -> CoreConfig {
         CoreConfig {
@@ -750,5 +897,49 @@ mod tests {
             p.dispatched(st.cluster);
             p.issued(st.cluster);
         }
+    }
+
+    #[test]
+    fn needed_comms_deduplicates_same_value() {
+        // An instruction reading the same value twice needs one comm.
+        let dist = DistanceLut::new(&ring4());
+        let mut values = ValueTable::new(4, 64, 64);
+        let v = values.alloc(0, false);
+        let comms = needed_comms(&dist, &values, &[v, v], 2);
+        assert_eq!(comms.len(), 1);
+    }
+
+    #[test]
+    fn comm_list_holds_two_inline() {
+        // The conv balance path can need both operands moved: the inline
+        // list must carry both, in operand order, with no heap involved.
+        let dist = DistanceLut::new(&ring4());
+        let mut values = ValueTable::new(4, 64, 64);
+        let a = values.alloc(0, false);
+        let b = values.alloc(2, false);
+        let comms = needed_comms(&dist, &values, &[a, b], 1);
+        assert_eq!(comms.len(), 2);
+        assert_eq!(
+            comms.as_slice(),
+            &[
+                NeededComm { value: a, from: 0 },
+                NeededComm { value: b, from: 2 }
+            ]
+        );
+        assert!(!comms.is_empty());
+        let collected: Vec<_> = comms.iter().map(|c| c.value).collect();
+        assert_eq!(collected, vec![a, b]);
+    }
+
+    #[test]
+    fn comm_list_equality_ignores_dead_slots() {
+        let mut x = CommList::new();
+        let mut y = CommList::new();
+        x.push(NeededComm { value: 7, from: 1 });
+        y.push(NeededComm { value: 7, from: 1 });
+        assert_eq!(x, y);
+        y.push(NeededComm { value: 9, from: 2 });
+        assert_ne!(x, y);
+        assert_eq!(CommList::new(), CommList::default());
     }
 }

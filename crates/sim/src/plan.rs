@@ -61,6 +61,14 @@ use crate::report;
 use crate::resultset::{Metric, ResultSet};
 use crate::runner::{all_bench_names, Budget};
 
+/// Largest in-memory oracle trace a parsed plan's budget may ask for: 1 GiB,
+/// i.e. [`Budget::trace_len`] × `size_of::<DynInsn>()` (32 B), which admits
+/// windows up to about 16.7 M warm-up + measured instructions — some 70× the
+/// default window. Spec files and `rcmc serve` lines are untrusted, and a
+/// larger budget would abort the process inside emulation instead of
+/// failing the one request.
+pub const MAX_PLAN_TRACE_BYTES: u64 = 1 << 30;
+
 /// One entry of [`Plan::configs`]: a configuration group, a named preset,
 /// or an ad-hoc axes combination. Exactly one of the three forms may be
 /// used per entry:
@@ -875,6 +883,16 @@ impl Plan {
                             other => return Err(format!("unknown budget key '{other}'")),
                         }
                     }
+                    let insn_bytes = std::mem::size_of::<rcmc_emu::DynInsn>() as u64;
+                    let trace_bytes = b.trace_len().saturating_mul(insn_bytes);
+                    if trace_bytes > MAX_PLAN_TRACE_BYTES {
+                        return Err(format!(
+                            "budget needs a {} MiB trace, over the {} MiB cap \
+                             (MAX_PLAN_TRACE_BYTES)",
+                            trace_bytes >> 20,
+                            MAX_PLAN_TRACE_BYTES >> 20
+                        ));
+                    }
                     plan.budget = Some(b);
                 }
                 "jobs" => {
@@ -1041,6 +1059,28 @@ mod tests {
         let b = p.budget.unwrap();
         assert_eq!(b.measure, 5_000);
         assert_eq!(b.warmup, Budget::default().warmup);
+    }
+
+    #[test]
+    fn budgets_past_the_trace_cap_are_hard_errors() {
+        let spec = |warmup: u64, measure: u64| {
+            format!(
+                r#"{{"name": "x", "configs": [{{"group": "table3"}}], "budget": {{"warmup": {warmup}, "measure": {measure}}}}}"#
+            )
+        };
+        // (w + m)·2 + 4096 instructions of 32 B each fill the 1 GiB cap
+        // exactly at w + m = 16 775 168.
+        assert!(Plan::from_json(&spec(0, 16_775_168)).is_ok());
+        let err = Plan::from_json(&spec(1, 16_775_168)).unwrap_err();
+        assert!(err.contains("MAX_PLAN_TRACE_BYTES"), "{err}");
+        // Windows whose instruction count overflows u64 still get the error.
+        assert!(Plan::from_json(&spec(u64::MAX / 2, u64::MAX / 2)).is_err());
+        assert!(Plan::from_json(&spec(0, 100_000_000_000)).is_err());
+        let huge = Budget {
+            warmup: u64::MAX,
+            measure: 1,
+        };
+        assert_eq!(huge.trace_len(), u64::MAX);
     }
 
     #[test]

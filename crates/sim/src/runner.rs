@@ -21,9 +21,7 @@
 //!
 //! The [`ResultStore`] is sharded per configuration
 //! (`target/rcmc-results/<config>/<key>.json`), so huge sweeps never pile
-//! thousands of files into one directory; results written by older versions
-//! into the flat layout are still found and migrated into their shard on
-//! first read.
+//! thousands of files into one directory.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -76,8 +74,12 @@ impl Budget {
     /// Dynamic instructions a run with this budget needs in its trace.
     /// Head-room beyond warmup+measure: mispredict-free fetch can run
     /// slightly ahead of commit, and the halt itself is not committed.
+    /// Saturates instead of overflowing on hostile windows.
     pub fn trace_len(&self) -> u64 {
-        (self.warmup + self.measure) * 2 + 4096
+        self.warmup
+            .saturating_add(self.measure)
+            .saturating_mul(2)
+            .saturating_add(4096)
     }
 }
 
@@ -264,30 +266,11 @@ impl ResultStore {
             .map(|d| d.join(config).join(format!("{key}.json")))
     }
 
-    /// Pre-sharding flat location (read-compatibility with old stores).
-    fn legacy_path(&self, key: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key}.json")))
-    }
-
-    /// Load a memoized result, if present and readable. Results persisted by
-    /// older versions into the flat layout are found too and migrated into
-    /// their configuration shard (best-effort; a failed rename just means
-    /// the next load reads the flat file again).
+    /// Load a memoized result, if present and readable.
     pub fn load(&self, config: &str, bench: &str, budget: &Budget) -> Option<RunResult> {
         let key = Self::key(config, bench, budget);
-        let sharded = self.shard_path(config, &key)?;
-        if let Ok(bytes) = std::fs::read(&sharded) {
-            return serde_json::from_slice(&bytes).ok();
-        }
-        let legacy = self.legacy_path(&key)?;
-        let bytes = std::fs::read(&legacy).ok()?;
-        let r: RunResult = serde_json::from_slice(&bytes).ok()?;
-        if let Some(parent) = sharded.parent() {
-            if std::fs::create_dir_all(parent).is_ok() {
-                let _ = std::fs::rename(&legacy, &sharded);
-            }
-        }
-        Some(r)
+        let bytes = std::fs::read(self.shard_path(config, &key)?).ok()?;
+        serde_json::from_slice(&bytes).ok()
     }
 
     /// Persist `r` into its configuration shard via temp-file + atomic
@@ -752,33 +735,6 @@ mod tests {
         assert_eq!(flat_json, 0, "sharded saves must not write flat files");
         assert_eq!(store.load(&a.name, "gzip", &budget), Some(ra));
         assert_eq!(store.load(&b.name, "gzip", &budget), Some(rb));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn store_reads_and_migrates_legacy_flat_files() {
-        let dir = std::env::temp_dir().join(format!("rcmc-legacy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = ResultStore::at(dir.clone());
-        let budget = tiny_budget();
-        let cfg = make(Topology::Ring, 4, 2, 1);
-        let r = run_pair(&cfg, "mcf", &budget, &ResultStore::ephemeral(), None);
-        // Plant the result where a pre-sharding store would have put it.
-        let key = ResultStore::key(&cfg.name, "mcf", &budget);
-        let flat = dir.join(format!("{key}.json"));
-        std::fs::write(&flat, serde_json::to_vec_pretty(&r).unwrap()).unwrap();
-        // Transparent read + migration into the shard.
-        assert_eq!(store.load(&cfg.name, "mcf", &budget).as_ref(), Some(&r));
-        assert!(
-            dir.join(&cfg.name).join(format!("{key}.json")).is_file(),
-            "legacy file must move into its shard"
-        );
-        assert!(
-            !flat.exists(),
-            "legacy flat file must be gone after reading"
-        );
-        // And the migrated copy keeps loading.
-        assert_eq!(store.load(&cfg.name, "mcf", &budget).as_ref(), Some(&r));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -158,6 +158,22 @@ fn serve_rejects_deep_nesting_without_overflowing() {
 }
 
 #[test]
+fn serve_rejects_a_budget_past_the_trace_cap() {
+    // 10^11 measured instructions would need a multi-terabyte trace: one
+    // structured error at parse time, and the session keeps serving.
+    let lines = serve_session(&[
+        r#"{"id": 1, "op": "run", "plan": {"name": "big", "configs": [{"topology": "ring", "clusters": 4}], "benches": ["swim"], "budget": {"measure": 100000000000}}}"#,
+        r#"{"id": 2, "op": "ping"}"#,
+    ]);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(has_field(&lines[0], "event", "error"), "{}", lines[0]);
+    assert!(has_field(&lines[0], "id", "1"), "{}", lines[0]);
+    assert!(lines[0].contains("MAX_PLAN_TRACE_BYTES"), "{}", lines[0]);
+    assert!(has_field(&lines[1], "event", "pong"), "{}", lines[1]);
+    assert!(has_field(&lines[1], "id", "2"), "{}", lines[1]);
+}
+
+#[test]
 fn serve_answers_a_one_megabyte_string_line_promptly() {
     // A ping padded with one string to exactly the 1 MiB line cap, then a
     // plain ping: both are answered, and parsing the long line takes time
