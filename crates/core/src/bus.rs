@@ -101,11 +101,6 @@ impl Bus {
         Some(dist * self.hop_latency)
     }
 
-    /// Is the first segment out of `from` free right now? (Fast pre-check.)
-    pub fn injection_free(&self, from: usize) -> bool {
-        self.segments[self.segment_leaving(from)].resv & 1 == 0
-    }
-
     /// Replay `cycles` trafficless ticks in O(segments).
     pub fn advance(&mut self, cycles: u64) {
         for s in &mut self.segments {
@@ -270,16 +265,6 @@ mod tests {
     fn ring_buses_all_forward() {
         let f = BusFabric::new(&cfg(Topology::Ring, 2, 1));
         assert!(f.buses[0].forward && f.buses[1].forward);
-    }
-
-    #[test]
-    fn injection_precheck_matches_reserve() {
-        let mut f = BusFabric::new(&cfg(Topology::Ring, 1, 1));
-        assert!(f.buses[0].injection_free(3));
-        f.buses[0].try_reserve(3, 1).unwrap();
-        assert!(!f.buses[0].injection_free(3));
-        f.tick();
-        assert!(f.buses[0].injection_free(3));
     }
 
     #[test]

@@ -69,16 +69,20 @@ const WHEEL: usize = crate::config::EVENT_WHEEL;
 
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// `value` becomes readable in `cluster`: mark + wake that cluster.
+    /// A communicated copy of `value` arrives in `cluster`: mark + wake
+    /// that cluster.
     CopyReady { value: ValueId, cluster: u8 },
-    /// Instruction completes (commit-eligible); un-stalls fetch if it was the
-    /// mispredicted control instruction fetch is waiting on.
+    /// Instruction completes (commit-eligible): its destination value, if
+    /// any, becomes readable in its destination cluster first, exactly as a
+    /// separate `CopyReady` queued just before it would. Un-stalls fetch if
+    /// it was the mispredicted control instruction fetch is waiting on.
     RobDone { rob: u32 },
     /// Load address generated; forwards to the LSQ.
     LoadAddr { rob: u32 },
     /// Store address + data captured; completes the store in the ROB.
     StoreReady { rob: u32 },
-    /// Load finished (cache or forward): completes + releases its LSQ slot.
+    /// Load finished (cache or forward): its destination value becomes
+    /// readable, then the load completes and releases its LSQ slot.
     LoadDone { rob: u32 },
 }
 
@@ -168,7 +172,6 @@ pub struct Core<'t> {
     comm_mask: u64,
 
     // Scratch buffers reused across cycles.
-    scratch_ready: Vec<usize>,
     scratch_remove: Vec<usize>,
     scratch_comm: Vec<usize>,
     scratch_loads: Vec<crate::lsq::StartedLoad>,
@@ -226,7 +229,6 @@ impl<'t> Core<'t> {
             comm_mask: 0,
             trace,
             cfg,
-            scratch_ready: Vec::new(),
             scratch_remove: Vec::new(),
             scratch_comm: Vec::new(),
             scratch_loads: Vec::new(),
@@ -381,16 +383,9 @@ impl<'t> Core<'t> {
         self.wheel.swap_due(self.now, &mut evs);
         for ev in &evs {
             match *ev {
-                Ev::CopyReady { value, cluster } => {
-                    let c = cluster as usize;
-                    if self.values.mark_ready(value, c) {
-                        self.iq_int[c].wakeup(value);
-                        self.iq_fp[c].wakeup(value);
-                        self.iq_comm[c].wakeup(value, self.now);
-                        self.refresh_cluster(c);
-                    }
-                }
+                Ev::CopyReady { value, cluster } => self.copy_ready(value, cluster as usize),
                 Ev::RobDone { rob } => {
+                    self.produce(rob);
                     self.rob.get_mut(rob).done = true;
                     let ti = self.rob.get(rob).trace_idx;
                     self.trace_mark(ti, |r, now| r.complete = now);
@@ -409,6 +404,7 @@ impl<'t> Core<'t> {
                     self.trace_mark(e.trace_idx, |r, now| r.complete = now);
                 }
                 Ev::LoadDone { rob } => {
+                    self.produce(rob);
                     let lsq = self.rob.get(rob).lsq;
                     self.lsq.release(lsq);
                     self.rob.get_mut(rob).done = true;
@@ -421,6 +417,26 @@ impl<'t> Core<'t> {
         // a wheel bucket, so steady state allocates nothing.
         evs.clear();
         self.scratch_events = evs;
+    }
+
+    /// `value` becomes readable in cluster `c`: wake its waiters there.
+    fn copy_ready(&mut self, value: ValueId, c: usize) {
+        if self.values.mark_ready(value, c) {
+            self.iq_int[c].wakeup(value);
+            self.iq_fp[c].wakeup(value);
+            self.iq_comm[c].wakeup(value, self.now);
+            self.refresh_cluster(c);
+        }
+    }
+
+    /// The completing instruction's destination value, if any, becomes
+    /// readable in its destination cluster.
+    fn produce(&mut self, rob: u32) {
+        let e = self.rob.get(rob);
+        if let Some(dest) = e.dest {
+            let dc = self.cfg.dest_cluster(e.cluster as usize);
+            self.copy_ready(dest, dc);
+        }
     }
 
     fn maybe_unstall_fetch(&mut self, rob: u32) {
@@ -492,17 +508,6 @@ impl<'t> Core<'t> {
                     (lat + self.mem.cfg.dcache_transfer as u64, s.kind)
                 }
             };
-            let e = *self.rob.get(s.rob);
-            if let Some(dest) = e.dest {
-                let dc = self.cfg.dest_cluster(e.cluster as usize) as u8;
-                self.schedule(
-                    complete,
-                    Ev::CopyReady {
-                        value: dest,
-                        cluster: dc,
-                    },
-                );
-            }
             self.schedule(complete, Ev::LoadDone { rob: s.rob });
         }
         started.clear();
@@ -584,8 +589,9 @@ impl<'t> Core<'t> {
                 );
                 self.stats.comm_bus_wait += self.now - op.ready_cycle;
                 // The comm has read its source copy.
-                let release = self.cfg.copy_release == CopyRelease::OnLastRead;
-                self.values.reader_done(op.value, op.from as usize, release);
+                if self.cfg.copy_release == CopyRelease::OnLastRead {
+                    self.values.reader_done(op.value, op.from as usize);
+                }
                 removed.push(idx);
                 granted += 1;
             }
@@ -601,80 +607,49 @@ impl<'t> Core<'t> {
         self.refresh_cluster(c);
     }
 
+    /// Issue up to the pipe's width of ready entries from cluster `c`'s
+    /// INT or FP queue, oldest first, skipping entries whose functional
+    /// unit is busy.
     fn issue_cluster_pipe(&mut self, c: usize, fp: bool) {
         let width = if fp { self.cfg.iw_fp } else { self.cfg.iw_int };
-        let mut budget = width;
-        {
-            let q = if fp { &self.iq_fp[c] } else { &self.iq_int[c] };
-            // Maintained ready count: skip the scan entirely when nothing
-            // can issue (the common case in a stalled cluster).
-            if q.ready_count() == 0 {
-                return;
-            }
-            let mut ready = std::mem::take(&mut self.scratch_ready);
-            q.ready_into(&mut ready);
-            self.scratch_ready = ready;
+        let (q, issued) = if fp {
+            (&mut self.iq_fp[c], &mut self.stats.issued_fp)
+        } else {
+            (&mut self.iq_int[c], &mut self.stats.issued_int)
+        };
+        // Maintained ready count: nothing to select in a stalled queue.
+        if q.ready_count() == 0 {
+            return;
         }
-        self.scratch_remove.clear();
-        for i in 0..self.scratch_ready.len() {
-            if budget == 0 {
-                break;
-            }
-            let idx = self.scratch_ready[i];
-            let entry: IqEntry = *if fp {
-                self.iq_fp[c].get(idx)
-            } else {
-                self.iq_int[c].get(idx)
+        let now = self.now;
+        let on_read = self.cfg.copy_release == CopyRelease::OnLastRead;
+        let (fus, policy, values) = (&mut self.fus[c], &mut self.policy, &mut self.values);
+        let (wheel, tracer) = (&mut self.wheel, &mut self.tracer);
+        q.select(width, |entry| {
+            let Some(latency) = fus.try_issue(entry.class, now) else {
+                return false; // FU busy; younger ready entries may still go.
             };
-            let Some(latency) = self.fus[c].try_issue(entry.class, self.now) else {
-                continue; // FU busy; younger ready entries may still go.
-            };
-            budget -= 1;
-            self.scratch_remove.push(idx);
-            self.policy.issued(c);
-            self.trace_mark(entry.trace_idx, |r, now| r.issue = now);
-            if fp {
-                self.stats.issued_fp += 1;
-            } else {
-                self.stats.issued_int += 1;
+            policy.issued(c);
+            if let Some(r) = tracer.as_mut().and_then(|t| t.rec(entry.trace_idx)) {
+                r.issue = now;
             }
+            *issued += 1;
             // Operand-read accounting (OnLastRead ablation).
-            let release = self.cfg.copy_release == CopyRelease::OnLastRead;
-            for r in entry.reads.into_iter().flatten() {
-                self.values.reader_done(r, c, release);
+            if on_read {
+                for r in entry.reads.into_iter().flatten() {
+                    values.reader_done(r, c);
+                }
             }
             let rob = entry.rob;
-            let e = *self.rob.get(rob);
-            match entry.class {
-                InsnClass::Load => {
-                    // AGU latency, then the request travels to the LSQ.
-                    self.schedule(latency as u64, Ev::LoadAddr { rob });
-                }
-                InsnClass::Store => {
-                    self.schedule(latency as u64, Ev::StoreReady { rob });
-                }
-                _ => {
-                    if let Some(dest) = e.dest {
-                        let dc = self.cfg.dest_cluster(c) as u8;
-                        self.schedule(
-                            latency as u64,
-                            Ev::CopyReady {
-                                value: dest,
-                                cluster: dc,
-                            },
-                        );
-                    }
-                    self.schedule(latency as u64, Ev::RobDone { rob });
-                }
-            }
-        }
-        let mut removals = std::mem::take(&mut self.scratch_remove);
-        if fp {
-            self.iq_fp[c].remove_many(&mut removals);
-        } else {
-            self.iq_int[c].remove_many(&mut removals);
-        }
-        self.scratch_remove = removals;
+            let ev = match entry.class {
+                // AGU latency, then the request travels to the LSQ.
+                InsnClass::Load => Ev::LoadAddr { rob },
+                InsnClass::Store => Ev::StoreReady { rob },
+                _ => Ev::RobDone { rob },
+            };
+            wheel.schedule(now, latency as u64, ev);
+            true
+        });
         self.refresh_cluster(c);
     }
 
@@ -801,10 +776,13 @@ impl<'t> Core<'t> {
         let seq = self.seq;
 
         // Communications: allocate the consumer-side copy + the comm op.
+        let on_read = self.cfg.copy_release == CopyRelease::OnLastRead;
         for cm in comms {
             self.values.add_copy(cm.value, c);
             // The comm is a reader of the source copy.
-            self.values.add_reader(cm.value, cm.from as usize);
+            if on_read {
+                self.values.add_reader(cm.value, cm.from as usize);
+            }
             let ready = self.values.state(cm.value, cm.from as usize) == CopyState::Ready;
             self.iq_comm[cm.from as usize].push(CommOp {
                 seq,
@@ -849,7 +827,9 @@ impl<'t> Core<'t> {
         for (slot, v) in src_vals.into_iter().enumerate() {
             let Some(v) = v else { continue };
             reads[slot] = Some(v);
-            self.values.add_reader(v, c);
+            if on_read {
+                self.values.add_reader(v, c);
+            }
             if self.values.state(v, c) != CopyState::Ready {
                 waits[slot] = Some(v);
             }

@@ -4,6 +4,23 @@
 //! cluster, every queue entry in that cluster waiting on it clears the
 //! matching source. Selection is oldest-first among ready entries, as in the
 //! paper's baseline.
+//!
+//! The issue queue is built so that neither operation costs more than the
+//! entries it touches:
+//!
+//! * **Stable slots, age-ordered list.** An entry keeps its storage slot
+//!   from dispatch until it issues. A separate list holds the occupied slots
+//!   oldest first; dispatch appends, so push order is age order. Selection
+//!   is one pass down that list that issues in place and closes the gaps
+//!   behind it, and it stops once every ready entry has been offered.
+//! * **Intrusive waiter chains.** Each value id heads a singly linked chain
+//!   of the `(slot, operand)` pairs that wait on it: one `u32` head per
+//!   value id and one link word per operand of each slot. A broadcast walks
+//!   and empties exactly one chain. Only waiting entries are ever linked,
+//!   and a waiting entry never issues, so no removal has to unlink anything.
+//! * **Maintained counts.** Ready entries are counted in total and per
+//!   functional-unit kind as they become ready and issue, so the
+//!   select-skip test and NREADY sampling never scan entries.
 
 use rcmc_isa::InsnClass;
 
@@ -34,118 +51,132 @@ impl IqEntry {
     }
 }
 
-/// A bounded, age-ordered issue queue.
-///
-/// The number of ready entries is maintained incrementally (updated on
-/// push/wakeup/remove), so per-cycle selection can skip queues with nothing
-/// ready without scanning them — the common case in a stalled cluster.
-///
-/// Wakeup is O(waiters), not O(entries): a per-value wait-list (direct
-/// table indexed by [`ValueId`], grown lazily) records which entries wait
-/// on each value, so a tag broadcast touches exactly the entries it wakes.
-/// Registrations are consumed by the wakeup itself (a wait can never
-/// dangle: the waited-on value keeps this entry as a reader until it turns
-/// ready), and `swap_remove` relocations are patched in place.
+/// End of a waiter chain.
+const NIL: u32 = u32::MAX;
+
+/// A bounded, age-ordered issue queue (see the module docs).
 pub struct IssueQueue {
-    entries: Vec<IqEntry>,
+    /// Entry storage. An entry keeps its slot from push until it issues.
+    slots: Vec<IqEntry>,
+    /// Occupied slots, oldest first.
+    order: Vec<u32>,
+    /// Vacated slots, reused before `slots` grows.
+    free: Vec<u32>,
     capacity: usize,
-    /// Ready entries currently in the queue (maintained, never scanned).
+    /// Ready entries currently in the queue.
     n_ready: usize,
-    /// Entry indices waiting on each value (indexed by `ValueId`; one
-    /// registration per waiting source slot). Cleared lists are kept to
-    /// reuse their capacity — value ids recycle heavily.
-    waiters: Vec<Vec<u32>>,
+    /// Ready entries per functional-unit kind, in [`fu_index`] order.
+    ready_fu: [usize; 4],
+    /// First waiter-chain node of each value id (`NIL`: nobody waits). Node
+    /// `2 * slot + operand` stands for that operand of that slot.
+    head: Vec<u32>,
+    /// The node after each node in its chain.
+    next: Vec<u32>,
 }
 
 impl IssueQueue {
     /// Queue with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         IssueQueue {
-            entries: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            order: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
             capacity,
             n_ready: 0,
-            waiters: Vec::new(),
+            ready_fu: [0; 4],
+            head: Vec::new(),
+            next: Vec::with_capacity(2 * capacity),
         }
     }
 
     /// Occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// Empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     /// Room for one more?
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.order.len() < self.capacity
     }
 
-    /// Register `idx` on `v`'s wait-list.
+    /// Entries oldest first.
+    #[cfg(test)]
+    pub fn entries(&self) -> impl Iterator<Item = &IqEntry> + '_ {
+        self.order.iter().map(|&s| &self.slots[s as usize])
+    }
+
+    /// An entry of `class` became ready.
     #[inline]
-    fn enlist(&mut self, v: ValueId, idx: u32) {
-        let slot = v as usize;
-        if slot >= self.waiters.len() {
-            self.waiters.resize_with(slot + 1, Vec::new);
+    fn add_ready(&mut self, class: InsnClass) {
+        self.n_ready += 1;
+        if let Some(kind) = class.fu() {
+            self.ready_fu[fu_index(kind)] += 1;
         }
-        self.waiters[slot].push(idx);
     }
 
-    /// Insert at dispatch. Panics if full (caller checks `has_space`).
+    /// A ready entry of `class` issued.
+    #[inline]
+    fn remove_ready(&mut self, class: InsnClass) {
+        self.n_ready -= 1;
+        if let Some(kind) = class.fu() {
+            self.ready_fu[fu_index(kind)] -= 1;
+        }
+    }
+
+    /// Insert at dispatch, as the youngest entry. Panics if full (caller
+    /// checks `has_space`).
     pub fn push(&mut self, e: IqEntry) {
         assert!(self.has_space(), "issue queue overflow");
-        self.n_ready += usize::from(e.ready());
-        let idx = self.entries.len() as u32;
-        for v in e.waits.into_iter().flatten() {
-            self.enlist(v, idx);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = e;
+                slot
+            }
+            None => {
+                self.slots.push(e);
+                self.next.extend([NIL, NIL]);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        for (operand, v) in e.waits.into_iter().enumerate() {
+            let Some(v) = v else { continue };
+            let v = v as usize;
+            if v >= self.head.len() {
+                self.head.resize(v + 1, NIL);
+            }
+            let node = 2 * slot + operand as u32;
+            self.next[node as usize] = self.head[v];
+            self.head[v] = node;
         }
-        self.entries.push(e);
+        if e.ready() {
+            self.add_ready(e.class);
+        }
+        self.order.push(slot);
     }
 
-    /// Tag broadcast: value `v` became ready in this cluster. Touches only
-    /// the entries registered as waiting on `v`.
+    /// Tag broadcast: value `v` became ready in this cluster. Walks and
+    /// empties `v`'s waiter chain, touching only the entries that wait on it.
     pub fn wakeup(&mut self, v: ValueId) {
-        let Some(list) = self.waiters.get_mut(v as usize) else {
+        let Some(head) = self.head.get_mut(v as usize) else {
             return;
         };
-        if list.is_empty() {
-            return;
-        }
-        // Detach the list so entry mutation can't alias it; hand its
-        // capacity back afterwards.
-        let mut list = std::mem::take(list);
-        for &idx in &list {
-            let e = &mut self.entries[idx as usize];
-            let was_ready = e.ready();
-            for w in &mut e.waits {
-                if *w == Some(v) {
-                    *w = None;
-                }
+        let mut node = std::mem::replace(head, NIL);
+        while node != NIL {
+            let (slot, operand) = ((node / 2) as usize, (node % 2) as usize);
+            let e = &mut self.slots[slot];
+            debug_assert_eq!(e.waits[operand], Some(v), "stale waiter-chain node");
+            e.waits[operand] = None;
+            if e.ready() {
+                let class = e.class;
+                self.add_ready(class);
             }
-            self.n_ready += usize::from(!was_ready && e.ready());
+            node = self.next[node as usize];
         }
-        list.clear();
-        self.waiters[v as usize] = list;
-    }
-
-    /// Ready entries in age order (oldest first).
-    pub fn ready_ordered(&self) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.ready_into(&mut idx);
-        idx
-    }
-
-    /// Allocation-free variant of [`IssueQueue::ready_ordered`].
-    pub fn ready_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        if self.n_ready == 0 {
-            return;
-        }
-        out.extend((0..self.entries.len()).filter(|&i| self.entries[i].ready()));
-        debug_assert_eq!(out.len(), self.n_ready, "ready count out of sync");
-        out.sort_unstable_by_key(|&i| self.entries[i].seq);
     }
 
     /// Number of ready entries (NREADY accounting / selection fast path).
@@ -154,51 +185,46 @@ impl IssueQueue {
         self.n_ready
     }
 
-    /// Count remaining ready entries per functional-unit kind in one pass
-    /// (NREADY sampling). `out` is indexed by [`rcmc_isa::FuKind`] order:
+    /// Add the ready entries per functional-unit kind to `out` (NREADY
+    /// sampling). `out` is indexed by [`rcmc_isa::FuKind`] order:
     /// IntAlu, IntMulDiv, FpAlu, FpMulDiv.
     pub fn ready_by_fu(&self, out: &mut [usize; 4]) {
-        if self.n_ready == 0 {
-            return;
+        for (o, k) in out.iter_mut().zip(self.ready_fu) {
+            *o += k;
         }
-        for e in &self.entries {
+    }
+
+    /// Oldest-first selection, in place. Offers each ready entry, oldest
+    /// first, to `start`, until `width` entries have issued or every ready
+    /// entry has been offered. `start` returns true when the entry issues
+    /// (its functional unit accepted it); issued entries leave the queue and
+    /// the rest keep their age order. Returns the number issued.
+    pub fn select(&mut self, width: usize, mut start: impl FnMut(&IqEntry) -> bool) -> usize {
+        let (mut issued, mut offered) = (0, 0);
+        let n_ready = self.n_ready;
+        let (mut read, mut write) = (0, 0);
+        while issued < width && offered < n_ready {
+            let slot = self.order[read];
+            read += 1;
+            let e = &self.slots[slot as usize];
             if e.ready() {
-                if let Some(kind) = e.class.fu() {
-                    out[fu_index(kind)] += 1;
+                offered += 1;
+                if start(e) {
+                    issued += 1;
+                    let class = e.class;
+                    self.remove_ready(class);
+                    self.free.push(slot);
+                    continue;
                 }
             }
+            self.order[write] = slot;
+            write += 1;
         }
-    }
-
-    /// Access an entry.
-    pub fn get(&self, i: usize) -> &IqEntry {
-        &self.entries[i]
-    }
-
-    /// Remove a set of entries by index (after issue). Indices must be
-    /// distinct and name ready entries (issue selects only ready ones, and
-    /// a ready entry holds no wait-list registrations); the buffer is
-    /// drained in place (descending order).
-    pub fn remove_many(&mut self, idx: &mut Vec<usize>) {
-        idx.sort_unstable_by(|a, b| b.cmp(a));
-        for i in idx.drain(..) {
-            debug_assert!(self.entries[i].ready(), "removing a waiting entry");
-            self.n_ready -= usize::from(self.entries[i].ready());
-            self.entries.swap_remove(i);
-            // The former tail entry (if any) moved to `i`: repoint its
-            // wait-list registrations.
-            if i < self.entries.len() {
-                let old = self.entries.len() as u32;
-                let waits = self.entries[i].waits;
-                for v in waits.into_iter().flatten() {
-                    for slot in &mut self.waiters[v as usize] {
-                        if *slot == old {
-                            *slot = i as u32;
-                        }
-                    }
-                }
-            }
+        if write < read {
+            self.order.copy_within(read.., write);
+            self.order.truncate(self.order.len() - (read - write));
         }
+        issued
     }
 }
 
@@ -321,6 +347,7 @@ impl CommQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(seq: u64, waits: [Option<ValueId>; 2]) -> IqEntry {
         IqEntry {
@@ -339,10 +366,10 @@ mod tests {
         q.push(entry(0, [Some(7), Some(9)]));
         q.push(entry(1, [Some(9), None]));
         q.wakeup(9);
-        assert!(!q.get(0).ready());
-        assert!(q.get(1).ready());
+        let ready: Vec<bool> = q.entries().map(IqEntry::ready).collect();
+        assert_eq!(ready, [false, true]);
         q.wakeup(7);
-        assert!(q.get(0).ready());
+        assert!(q.entries().all(IqEntry::ready));
     }
 
     #[test]
@@ -350,19 +377,30 @@ mod tests {
         let mut q = IssueQueue::new(4);
         q.push(entry(0, [Some(5), Some(5)]));
         q.wakeup(5);
-        assert!(q.get(0).ready());
+        assert_eq!(q.ready_count(), 1, "one entry, counted once");
+        assert!(q.entries().all(IqEntry::ready));
+    }
+
+    /// Issue `width` entries the FU accepts, returning their `seq`s.
+    fn select_seqs(q: &mut IssueQueue, width: usize) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        q.select(width, |e| {
+            seqs.push(e.seq);
+            true
+        });
+        seqs
     }
 
     #[test]
-    fn ready_ordered_is_oldest_first() {
+    fn select_issues_oldest_first() {
         let mut q = IssueQueue::new(8);
+        q.push(entry(2, [Some(1), None]));
         q.push(entry(5, [None, None]));
-        q.push(entry(2, [None, None]));
-        q.push(entry(9, [Some(1), None]));
-        let r = q.ready_ordered();
-        assert_eq!(r.len(), 2);
-        assert_eq!(q.get(r[0]).seq, 2);
-        assert_eq!(q.get(r[1]).seq, 5);
+        q.push(entry(9, [None, None]));
+        q.push(entry(11, [None, None]));
+        q.wakeup(1);
+        assert_eq!(select_seqs(&mut q, 2), [2, 5]);
+        assert_eq!(select_seqs(&mut q, 8), [9, 11]);
     }
 
     #[test]
@@ -375,39 +413,40 @@ mod tests {
     }
 
     #[test]
-    fn remove_many_drains_entries() {
+    fn select_drains_issued_entries_and_keeps_denied_ones() {
         let mut q = IssueQueue::new(8);
         for s in 0..5 {
             q.push(entry(s, [None, None]));
         }
-        let mut idx = vec![0, 2, 4];
-        q.remove_many(&mut idx);
-        assert!(idx.is_empty());
+        // The FU turns down the odd entries; they stay, in age order.
+        assert_eq!(q.select(8, |e| e.seq % 2 == 0), 3);
         assert_eq!(q.len(), 2);
+        assert_eq!(q.ready_count(), 2);
+        assert_eq!(select_seqs(&mut q, 8), [1, 3]);
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn wakeup_tracks_entries_moved_by_swap_remove() {
-        // Wait-list registrations must follow entries relocated by
-        // remove_many's swap_remove, and a consumed broadcast must be inert.
+    fn wakeup_finds_entries_after_older_ones_issue() {
+        // Waiter chains name stable slots: issuing older entries must not
+        // disturb them, a freed slot must be reusable, and a consumed
+        // broadcast must be inert.
         let mut q = IssueQueue::new(8);
         q.push(entry(0, [None, None])); // ready
         q.push(entry(1, [Some(7), None]));
         q.push(entry(2, [None, None])); // ready
         q.push(entry(3, [Some(7), Some(8)]));
-        let mut idx = vec![0, 2];
-        q.remove_many(&mut idx);
+        assert_eq!(select_seqs(&mut q, 8), [0, 2]);
         assert_eq!(q.len(), 2);
         assert_eq!(q.ready_count(), 0);
+        q.push(entry(4, [Some(8), None])); // reuses a freed slot
         q.wakeup(7);
         assert_eq!(q.ready_count(), 1, "seq 1 ready; seq 3 still waits on 8");
         q.wakeup(7); // consumed broadcast: nothing left registered
         assert_eq!(q.ready_count(), 1);
         q.wakeup(8);
-        assert_eq!(q.ready_count(), 2);
-        let r = q.ready_ordered();
-        assert_eq!(q.get(r[0]).seq, 1);
-        assert_eq!(q.get(r[1]).seq, 3);
+        assert_eq!(q.ready_count(), 3);
+        assert_eq!(select_seqs(&mut q, 8), [1, 3, 4]);
     }
 
     #[test]
@@ -467,11 +506,10 @@ mod tests {
         assert_eq!(q.ready_count(), 2);
         q.wakeup(3); // idempotent: nothing newly ready
         assert_eq!(q.ready_count(), 2);
-        let mut idx = vec![0];
-        q.remove_many(&mut idx);
+        assert_eq!(select_seqs(&mut q, 1), [0]);
         assert_eq!(q.ready_count(), 1);
         // The maintained count always matches a fresh scan.
-        assert_eq!(q.ready_count(), q.ready_ordered().len());
+        assert_eq!(q.ready_count(), q.entries().filter(|e| e.ready()).count());
     }
 
     #[test]
@@ -516,5 +554,221 @@ mod tests {
         });
         assert!(q.has_space_for(1));
         assert!(!q.has_space_for(2));
+    }
+
+    /// Reference model: the wait-list queue the slot-and-chain one
+    /// replaced. Entries live in a dense `Vec` moved by `swap_remove`,
+    /// selection collects the ready indices and sorts them by `seq`, and
+    /// each value id owns a `Vec` of waiting entry indices that removals
+    /// repoint. The differential test below holds the production queue to
+    /// its outputs.
+    mod reference {
+        use super::super::{fu_index, IqEntry};
+        use crate::value::ValueId;
+
+        pub struct IssueQueue {
+            entries: Vec<IqEntry>,
+            capacity: usize,
+            n_ready: usize,
+            waiters: Vec<Vec<u32>>,
+        }
+
+        impl IssueQueue {
+            pub fn new(capacity: usize) -> Self {
+                IssueQueue {
+                    entries: Vec::with_capacity(capacity),
+                    capacity,
+                    n_ready: 0,
+                    waiters: Vec::new(),
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.entries.len()
+            }
+
+            pub fn has_space(&self) -> bool {
+                self.entries.len() < self.capacity
+            }
+
+            pub fn push(&mut self, e: IqEntry) {
+                assert!(self.has_space(), "issue queue overflow");
+                self.n_ready += usize::from(e.ready());
+                let idx = self.entries.len() as u32;
+                for v in e.waits.into_iter().flatten() {
+                    let slot = v as usize;
+                    if slot >= self.waiters.len() {
+                        self.waiters.resize_with(slot + 1, Vec::new);
+                    }
+                    self.waiters[slot].push(idx);
+                }
+                self.entries.push(e);
+            }
+
+            pub fn wakeup(&mut self, v: ValueId) {
+                let Some(list) = self.waiters.get_mut(v as usize) else {
+                    return;
+                };
+                let list = std::mem::take(list);
+                for &idx in &list {
+                    let e = &mut self.entries[idx as usize];
+                    let was_ready = e.ready();
+                    for w in &mut e.waits {
+                        if *w == Some(v) {
+                            *w = None;
+                        }
+                    }
+                    self.n_ready += usize::from(!was_ready && e.ready());
+                }
+            }
+
+            pub fn ready_into(&self, out: &mut Vec<usize>) {
+                out.clear();
+                out.extend((0..self.entries.len()).filter(|&i| self.entries[i].ready()));
+                out.sort_unstable_by_key(|&i| self.entries[i].seq);
+            }
+
+            pub fn ready_count(&self) -> usize {
+                self.n_ready
+            }
+
+            pub fn ready_by_fu(&self, out: &mut [usize; 4]) {
+                for e in self.entries.iter().filter(|e| e.ready()) {
+                    if let Some(kind) = e.class.fu() {
+                        out[fu_index(kind)] += 1;
+                    }
+                }
+            }
+
+            pub fn get(&self, i: usize) -> &IqEntry {
+                &self.entries[i]
+            }
+
+            pub fn remove_many(&mut self, idx: &mut Vec<usize>) {
+                idx.sort_unstable_by(|a, b| b.cmp(a));
+                for i in idx.drain(..) {
+                    self.n_ready -= usize::from(self.entries[i].ready());
+                    self.entries.swap_remove(i);
+                    if i < self.entries.len() {
+                        let old = self.entries.len() as u32;
+                        let waits = self.entries[i].waits;
+                        for v in waits.into_iter().flatten() {
+                            for slot in &mut self.waiters[v as usize] {
+                                if *slot == old {
+                                    *slot = i as u32;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+
+            /// The pipeline's former selection loop over `ready_into`.
+            pub fn select(&mut self, width: usize, mut start: impl FnMut(&IqEntry) -> bool) {
+                let mut ready = Vec::new();
+                self.ready_into(&mut ready);
+                let mut issued = Vec::new();
+                for idx in ready {
+                    if issued.len() == width {
+                        break;
+                    }
+                    if start(self.get(idx)) {
+                        issued.push(idx);
+                    }
+                }
+                self.remove_many(&mut issued);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Random push / wakeup / select sequences with random FU denials,
+        /// checking both queues after every step: the same `seq`s issue in
+        /// the same order, and occupancy, ready count and per-FU ready
+        /// counts agree.
+        #[test]
+        fn issue_queue_matches_wait_list_reference(
+            ops in prop::collection::vec((0u8..5, 0u32..=u32::MAX), 1..400),
+            capacity in 1usize..24,
+            width in 1usize..5,
+        ) {
+            const CLASSES: [InsnClass; 7] = [
+                InsnClass::IntAlu,
+                InsnClass::IntMul,
+                InsnClass::FpAlu,
+                InsnClass::FpMul,
+                InsnClass::Load,
+                InsnClass::Store,
+                InsnClass::Branch,
+            ];
+            let mut fast = IssueQueue::new(capacity);
+            let mut slow = reference::IssueQueue::new(capacity);
+            // Six live value ids, spread out so the chain heads grow.
+            let value = |bits: u32| (bits % 6) * 37;
+            let mut seq = 0u64;
+            for (op, arg) in ops {
+                match op {
+                    0 | 1 => {
+                        prop_assert_eq!(fast.has_space(), slow.has_space());
+                        if !fast.has_space() {
+                            continue;
+                        }
+                        seq += 1;
+                        let wait = |on: u32, bits: u32| (on != 0).then(|| value(bits));
+                        let e = IqEntry {
+                            class: CLASSES[(arg >> 12) as usize % CLASSES.len()],
+                            ..entry(seq, [wait(arg & 1, arg >> 2), wait(arg & 2, arg >> 6)])
+                        };
+                        fast.push(e);
+                        slow.push(e);
+                    }
+                    2 | 3 => {
+                        fast.wakeup(value(arg));
+                        slow.wakeup(value(arg));
+                    }
+                    _ => {
+                        // Free units per FU kind this cycle (0 denies the
+                        // whole kind), as `FuSet::try_issue` would grant.
+                        let units = |k: usize| (arg >> (3 * k)) % 3;
+                        let start = |mut free: [u32; 4]| {
+                            move |e: &IqEntry| {
+                                let k = fu_index(e.class.fu().unwrap());
+                                let ok = free[k] > 0;
+                                free[k] = free[k].saturating_sub(1);
+                                ok
+                            }
+                        };
+                        let free = [units(0), units(1), units(2), units(3)];
+                        let (mut fast_seqs, mut slow_seqs) = (Vec::new(), Vec::new());
+                        let mut fast_start = start(free);
+                        let n = fast.select(width, |e| {
+                            let ok = fast_start(e);
+                            if ok {
+                                fast_seqs.push(e.seq);
+                            }
+                            ok
+                        });
+                        let mut slow_start = start(free);
+                        slow.select(width, |e| {
+                            let ok = slow_start(e);
+                            if ok {
+                                slow_seqs.push(e.seq);
+                            }
+                            ok
+                        });
+                        prop_assert_eq!(&fast_seqs, &slow_seqs, "issued seqs diverged");
+                        prop_assert_eq!(n, fast_seqs.len());
+                    }
+                }
+                prop_assert_eq!(fast.len(), slow.len());
+                prop_assert_eq!(fast.ready_count(), slow.ready_count());
+                let (mut fast_fu, mut slow_fu) = ([0; 4], [0; 4]);
+                fast.ready_by_fu(&mut fast_fu);
+                slow.ready_by_fu(&mut slow_fu);
+                prop_assert_eq!(fast_fu, slow_fu);
+            }
+        }
     }
 }

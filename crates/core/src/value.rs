@@ -15,10 +15,15 @@
 //! (`present` = a copy exists, `ready` ⊆ `present` = the datum arrived;
 //! Pending = present ∧ ¬ready), so a value with two copies costs two set
 //! bits, not a [`MAX_CLUSTERS`]-wide array — walking copies is
-//! `count_ones()` bit iterations in ascending cluster order. Reader counts
-//! (only consulted by the `OnLastRead` ablation) live in a small sorted
-//! `(cluster, count)` list whose capacity survives slot recycling, so the
-//! steady-state hot loop stays allocation-free.
+//! `count_ones()` bit iterations in ascending cluster order.
+//!
+//! Reader counts exist only for the `OnLastRead` ablation, and the core
+//! registers readers ([`ValueTable::add_reader`] /
+//! [`ValueTable::reader_done`]) only under that policy. They live in a side
+//! table beside the slab, one small sorted `(cluster, count)` list per value
+//! id, grown on first use and keeping its capacity across slot recycling.
+//! Under the default policy the table stays empty and the per-value record
+//! is three words.
 //!
 //! Release policy follows §3: all copies of a value are freed when the
 //! instruction that *redefines* its architectural register commits.
@@ -57,11 +62,6 @@ struct Value {
     present: u64,
     /// Clusters whose copy is Ready (always a subset of `present`).
     ready: u64,
-    /// Outstanding dispatched-but-not-issued readers, sorted by cluster
-    /// (for the `OnLastRead` release ablation). Entries are removed when
-    /// their count drains to zero, so the list stays as small as the live
-    /// reader set.
-    readers: Vec<(u8, u16)>,
     /// Cluster holding the home (original) copy.
     home: u8,
     /// FP bank?
@@ -75,20 +75,16 @@ impl Value {
         Value {
             present: 0,
             ready: 0,
-            readers: Vec::new(),
             home: 0,
             is_fp: false,
             live: false,
         }
     }
 
-    /// Reset for reuse, keeping the reader list's capacity (value ids
-    /// recycle heavily; this is what keeps `alloc` allocation-free in
-    /// steady state).
+    /// Reset for reuse.
     fn reset(&mut self, home: usize, fp: bool) {
         self.present = 0;
         self.ready = 0;
-        self.readers.clear();
         self.home = home as u8;
         self.is_fp = fp;
         self.live = true;
@@ -115,6 +111,11 @@ impl Iterator for ClusterBits {
 /// The value slab plus per-cluster free-register accounting.
 pub struct ValueTable {
     slab: Vec<Value>,
+    /// Outstanding dispatched-but-not-issued readers per value id, sorted by
+    /// cluster (`OnLastRead` only; empty otherwise). Entries are removed
+    /// when their count drains to zero, so each list stays as small as the
+    /// live reader set, and a list keeps its capacity when its id recycles.
+    readers: Vec<Vec<(u8, u16)>>,
     free_slots: Vec<ValueId>,
     n_clusters: usize,
     /// Free integer registers per cluster.
@@ -128,6 +129,7 @@ impl ValueTable {
     pub fn new(n_clusters: usize, regs_int: usize, regs_fp: usize) -> Self {
         ValueTable {
             slab: Vec::with_capacity(1024),
+            readers: Vec::new(),
             free_slots: Vec::new(),
             n_clusters,
             free_int: vec![regs_int as i32; n_clusters].into_boxed_slice(),
@@ -185,6 +187,9 @@ impl ValueTable {
         debug_assert!(!v.live);
         v.reset(home, fp);
         v.present = bit(home);
+        if let Some(readers) = self.readers.get_mut(id as usize) {
+            readers.clear();
+        }
         id
     }
 
@@ -271,9 +276,12 @@ impl ValueTable {
         ClusterBits(self.slab[id as usize].present)
     }
 
-    /// Register a dispatched reader of `id` in `cluster` (OnLastRead policy).
+    /// Register a dispatched reader of `id` in `cluster` (`OnLastRead` only).
     pub fn add_reader(&mut self, id: ValueId, cluster: usize) {
-        let readers = &mut self.slab[id as usize].readers;
+        if id as usize >= self.readers.len() {
+            self.readers.resize_with(id as usize + 1, Vec::new);
+        }
+        let readers = &mut self.readers[id as usize];
         let c = cluster as u8;
         match readers.binary_search_by_key(&c, |&(rc, _)| rc) {
             Ok(i) => readers[i].1 += 1,
@@ -281,21 +289,22 @@ impl ValueTable {
         }
     }
 
-    /// A reader issued; under `OnLastRead`, frees a non-home copy whose
-    /// reader count hits zero. Returns true if the copy was released.
-    pub fn reader_done(&mut self, id: ValueId, cluster: usize, release_on_read: bool) -> bool {
-        let v = &mut self.slab[id as usize];
+    /// A registered reader issued (`OnLastRead` only): frees a non-home
+    /// Ready copy whose reader count hits zero. Returns true if the copy was
+    /// released.
+    pub fn reader_done(&mut self, id: ValueId, cluster: usize) -> bool {
+        let readers = &mut self.readers[id as usize];
         let c = cluster as u8;
-        let i = v
-            .readers
+        let i = readers
             .binary_search_by_key(&c, |&(rc, _)| rc)
             .expect("reader_done without a registered reader");
-        v.readers[i].1 -= 1;
-        let drained = v.readers[i].1 == 0;
+        readers[i].1 -= 1;
+        let drained = readers[i].1 == 0;
         if drained {
-            v.readers.remove(i);
+            readers.remove(i);
         }
-        if release_on_read && drained && cluster != v.home as usize && v.ready & bit(cluster) != 0 {
+        let v = &mut self.slab[id as usize];
+        if drained && cluster != v.home as usize && v.ready & bit(cluster) != 0 {
             v.present &= !bit(cluster);
             v.ready &= !bit(cluster);
             let fp = v.is_fp;
@@ -428,26 +437,29 @@ mod tests {
         t.mark_ready(v, 2);
         t.add_reader(v, 2);
         t.add_reader(v, 2);
-        assert!(!t.reader_done(v, 2, true), "first reader leaves the copy");
-        assert!(t.reader_done(v, 2, true), "last reader releases it");
+        assert!(!t.reader_done(v, 2), "first reader leaves the copy");
+        assert!(t.reader_done(v, 2), "last reader releases it");
         assert!(!t.mapped(v, 2));
         assert_eq!(t.free_regs(2, false), 48);
         // Home copy is never read-released.
         t.add_reader(v, 0);
-        assert!(!t.reader_done(v, 0, true));
+        assert!(!t.reader_done(v, 0));
         assert!(t.mapped(v, 0));
     }
 
     #[test]
     fn default_policy_keeps_copies() {
+        // The default policy registers no readers, so nothing but the
+        // redefiner's commit (`free`) releases a copy.
         let mut t = table();
         let v = t.alloc(0, false);
         t.mark_ready(v, 0);
         t.add_copy(v, 1);
         t.mark_ready(v, 1);
-        t.add_reader(v, 1);
-        assert!(!t.reader_done(v, 1, false));
         assert!(t.mapped(v, 1));
+        assert_eq!(t.free_regs(1, false), 47);
+        t.free(v);
+        assert_eq!(t.free_regs(1, false), 48);
     }
 
     #[test]
@@ -458,7 +470,7 @@ mod tests {
         t.add_copy(v, 2);
         t.add_reader(v, 2);
         t.mark_ready(v, 2);
-        t.reader_done(v, 2, true); // releases
+        t.reader_done(v, 2); // releases
         assert!(
             !t.mark_ready(v, 2),
             "ready on a released copy must be ignored"
@@ -472,11 +484,12 @@ mod tests {
         for c in [3usize, 1, 2, 1] {
             t.add_reader(v, c);
         }
-        // Drain in arbitrary order; counts must balance exactly.
-        assert!(!t.reader_done(v, 1, false));
-        assert!(!t.reader_done(v, 3, false));
-        assert!(!t.reader_done(v, 2, false));
-        assert!(!t.reader_done(v, 1, false));
+        // Drain in arbitrary order; counts must balance exactly (no copy
+        // outside the home cluster, so nothing is released).
+        assert!(!t.reader_done(v, 1));
+        assert!(!t.reader_done(v, 3));
+        assert!(!t.reader_done(v, 2));
+        assert!(!t.reader_done(v, 1));
     }
 
     #[test]

@@ -69,6 +69,22 @@ use crate::runner::{all_bench_names, Budget};
 /// failing the one request.
 pub const MAX_PLAN_TRACE_BYTES: u64 = 1 << 30;
 
+/// Largest worker count a plan's `"jobs"` may ask for. A sweep starts its
+/// workers as OS threads all at once, so an untrusted spec asking for a
+/// million of them would exhaust the host's threads and memory before any
+/// job ran. 256 is far above the core count of any host this simulator
+/// sweeps on; [`Plan::from_json`] and [`Plan::resolve`] reject more.
+pub const MAX_JOBS: usize = 256;
+
+/// The `"jobs"` check shared by parsing and resolution.
+fn check_jobs(jobs: u64) -> Result<usize, String> {
+    match jobs {
+        0 => Err("'jobs' must be at least 1".to_string()),
+        n if n > MAX_JOBS as u64 => Err(format!("'jobs' must be at most {MAX_JOBS} (MAX_JOBS)")),
+        n => Ok(n as usize),
+    }
+}
+
 /// One entry of [`Plan::configs`]: a configuration group, a named preset,
 /// or an ad-hoc axes combination. Exactly one of the three forms may be
 /// used per entry:
@@ -720,7 +736,7 @@ impl Plan {
     /// Resolve and check the whole plan in one pass: expand the
     /// configuration grid, resolve the benchmark list, verify every report
     /// (and that it only references configurations this plan actually
-    /// runs), jobs ≥ 1. Returns the resolved `(configs, benches)` so
+    /// runs), 1 ≤ jobs ≤ [`MAX_JOBS`]. Returns the resolved `(configs, benches)` so
     /// executors do the expansion exactly once. Benchmarks resolve against
     /// the process-default trace store; see [`Plan::resolve_in`].
     pub fn resolve(&self) -> Result<(Vec<SimConfig>, Vec<String>), String> {
@@ -757,8 +773,8 @@ impl Plan {
                 }
             }
         }
-        if self.jobs == Some(0) {
-            return Err("'jobs' must be at least 1".to_string());
+        if let Some(j) = self.jobs {
+            check_jobs(j as u64)?;
         }
         Ok((configs, benches))
     }
@@ -897,11 +913,9 @@ impl Plan {
                 }
                 "jobs" => {
                     // Hard parse error, not deferred to resolve(): a spec
-                    // asking for zero workers is always a mistake.
-                    plan.jobs = match uint_field(v, k)? {
-                        0 => return Err("'jobs' must be at least 1".to_string()),
-                        n => Some(n as usize),
-                    };
+                    // asking for zero workers, or for more threads than
+                    // MAX_JOBS, is always a mistake.
+                    plan.jobs = Some(check_jobs(uint_field(v, k)?)?);
                 }
                 "reports" => {
                     let Value::Arr(items) = v else {
@@ -1030,6 +1044,33 @@ mod tests {
         // Positive counts still parse.
         let ok = r#"{"name": "x", "configs": [{"group": "table3"}], "jobs": 3}"#;
         assert_eq!(Plan::from_json(ok).unwrap().jobs, Some(3));
+    }
+
+    /// Only the parse and resolve errors are tested: running a plan at the
+    /// cap would start that many threads.
+    #[test]
+    fn jobs_past_the_cap_are_hard_errors() {
+        let spec = |jobs: String| {
+            format!(r#"{{"name": "x", "configs": [{{"group": "table3"}}], "jobs": {jobs}}}"#)
+        };
+        assert_eq!(
+            Plan::from_json(&spec(MAX_JOBS.to_string())).unwrap().jobs,
+            Some(MAX_JOBS)
+        );
+        for jobs in [(MAX_JOBS + 1).to_string(), "1000000".into(), "1e300".into()] {
+            let err = Plan::from_json(&spec(jobs.clone())).unwrap_err();
+            assert!(
+                err.contains("MAX_JOBS") && err.contains("256"),
+                "{jobs}: {err}"
+            );
+        }
+        // Plans built in code hit the same cap when they resolve.
+        let p = Plan::new("x")
+            .config_named("Ring_4clus_1bus_2IW")
+            .benches(["swim"]);
+        assert!(p.clone().jobs(MAX_JOBS).resolve().is_ok());
+        let err = p.jobs(MAX_JOBS + 1).resolve().unwrap_err();
+        assert!(err.contains("MAX_JOBS"), "{err}");
     }
 
     #[test]

@@ -670,9 +670,13 @@ mod tests {
 
     #[test]
     fn trace_cache_reuses() {
-        let a = cached_trace("gzip", 5000);
-        let b = cached_trace("gzip", 5000);
+        // A private trace store, so the test leaves the default one alone.
+        let dir = std::env::temp_dir().join(format!("rcmc-reuse-{}", std::process::id()));
+        let db = TraceDb::at(dir.clone());
+        let a = cached_trace_via("gzip", 5000, Some(&db));
+        let b = cached_trace_via("gzip", 5000, Some(&db));
         assert!(Arc::ptr_eq(&a, &b));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
